@@ -146,7 +146,6 @@ let checkpoint (t : t) =
        retiring guest instructions, which the churn tracker catches. *)
     if Int64.compare instret t.last_ckpt_instret <> 0 || Churn.churned t.churn > 0
     then begin
-      t.last_ckpt_instret <- instret;
       let image = Snapshot.capture t.vm in
       (* The pause is charged on the bytes the commit actually streamed —
          the churned delta (or the torn prefix), not the full image. *)
@@ -154,6 +153,9 @@ let checkpoint (t : t) =
       let bytes =
         match outcome with
         | Store.Committed { bytes; _ } ->
+            (* Only a landed commit makes this state durable: after a torn
+               one the next tick must retry even if the guest sat idle. *)
+            t.last_ckpt_instret <- instret;
             t.checkpoints <- t.checkpoints + 1;
             t.ckpt_bytes <- t.ckpt_bytes + bytes;
             t.frames_churned <- t.frames_churned + Churn.drain t.churn;

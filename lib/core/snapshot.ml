@@ -5,18 +5,7 @@ type full = Bytes.t
 
 let magic = 0x56454C4D534E5031L (* "VELMSNP1" *)
 
-(* --- little-endian buffer helpers --- *)
-
-let add_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  Buffer.add_bytes buf b
-
-let add_int buf v = add_i64 buf (Int64.of_int v)
-
-let add_str buf s =
-  add_int buf (String.length s);
-  Buffer.add_string buf s
+(* --- little-endian reader --- *)
 
 type reader = { data : Bytes.t; mutable pos : int }
 
@@ -49,51 +38,81 @@ let runstate_of_code = function
   | _ -> failwith "Snapshot: bad runstate"
 
 let capture (vm : Vm.t) =
-  let buf = Buffer.create (Vm.mem_frames vm * Arch.page_size / 2) in
-  add_i64 buf magic;
-  add_str buf vm.Vm.name;
-  add_int buf (Vm.mem_frames vm);
-  add_int buf (Array.length vm.Vm.vcpus);
-  add_int buf (match vm.Vm.paging with Vm.Shadow_paging -> 0 | Vm.Nested_paging -> 1);
-  add_int buf (if vm.Vm.pv.Vm.pv_console then 1 else 0);
-  add_int buf (if vm.Vm.pv.Vm.pv_pt then 1 else 0);
+  (* Page states: 1 = ballooned, 2 = absent, 0 = present (with data).
+     Swapped pages are pulled back in by resolve_read. *)
+  let pages = ref [] and data_pages = ref 0 in
+  P2m.iter vm.Vm.p2m ~f:(fun ~gfn entry ->
+      let kind =
+        match entry with
+        | P2m.Ballooned -> 1
+        | P2m.Absent -> 2
+        | P2m.Present _ | P2m.Swapped _ | P2m.Remote ->
+            incr data_pages;
+            0
+      in
+      pages := (gfn, kind) :: !pages);
+  let pages = List.rev !pages in
+  let console = Vm.console_output vm in
+  let vcpu_bytes =
+    Array.fold_left
+      (fun acc (vcpu : Vcpu.t) ->
+        let s = vcpu.Vcpu.state in
+        acc + (8 * (Array.length s.Cpu.regs + Array.length s.Cpu.csrs + 6)))
+      0 vm.Vm.vcpus
+  in
+  let size =
+    (* magic, name, five header words; vCPUs; page count, a gfn and kind
+       word per page, data pages; console *)
+    (8 + 8 + String.length vm.Vm.name + 40)
+    + vcpu_bytes
+    + (8 + (16 * List.length pages) + (Arch.page_size * !data_pages))
+    + (8 + String.length console)
+  in
+  let b = Bytes.create size in
+  let pos = ref 0 in
+  let add_i64 v =
+    Bytes.set_int64_le b !pos v;
+    pos := !pos + 8
+  in
+  let add_int v = add_i64 (Int64.of_int v) in
+  let add_str s =
+    add_int (String.length s);
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  add_i64 magic;
+  add_str vm.Vm.name;
+  add_int (Vm.mem_frames vm);
+  add_int (Array.length vm.Vm.vcpus);
+  add_int (match vm.Vm.paging with Vm.Shadow_paging -> 0 | Vm.Nested_paging -> 1);
+  add_int (if vm.Vm.pv.Vm.pv_console then 1 else 0);
+  add_int (if vm.Vm.pv.Vm.pv_pt then 1 else 0);
   Array.iter
     (fun (vcpu : Vcpu.t) ->
       let s = vcpu.Vcpu.state in
-      Array.iter (add_i64 buf) s.Cpu.regs;
-      add_i64 buf s.Cpu.pc;
-      add_int buf (match s.Cpu.mode with Arch.User -> 0 | Arch.Supervisor -> 1);
-      Array.iter (add_i64 buf) s.Cpu.csrs;
-      add_int buf (if s.Cpu.halted then 1 else 0);
-      add_int buf (if s.Cpu.waiting then 1 else 0);
-      add_i64 buf s.Cpu.instret;
-      add_int buf (runstate_code vcpu.Vcpu.runstate))
+      Array.iter add_i64 s.Cpu.regs;
+      add_i64 s.Cpu.pc;
+      add_int (match s.Cpu.mode with Arch.User -> 0 | Arch.Supervisor -> 1);
+      Array.iter add_i64 s.Cpu.csrs;
+      add_int (if s.Cpu.halted then 1 else 0);
+      add_int (if s.Cpu.waiting then 1 else 0);
+      add_i64 s.Cpu.instret;
+      add_int (runstate_code vcpu.Vcpu.runstate))
     vm.Vm.vcpus;
-  (* Page states: B = ballooned, A = absent, P = present (with data).
-     Swapped pages are pulled back in by resolve_read. *)
-  let pages = ref [] in
-  P2m.iter vm.Vm.p2m ~f:(fun ~gfn entry ->
-      match entry with
-      | P2m.Ballooned -> pages := (gfn, `Ballooned) :: !pages
-      | P2m.Absent -> pages := (gfn, `Absent) :: !pages
-      | P2m.Present _ | P2m.Swapped _ | P2m.Remote -> pages := (gfn, `Data) :: !pages);
-  let pages = List.rev !pages in
-  add_int buf (List.length pages);
+  add_int (List.length pages);
   List.iter
     (fun (gfn, kind) ->
-      add_i64 buf gfn;
-      match kind with
-      | `Ballooned -> add_int buf 1
-      | `Absent -> add_int buf 2
-      | `Data -> (
-          add_int buf 0;
-          match Vm.resolve_read vm gfn with
-          | Some ppn ->
-              Buffer.add_bytes buf (Phys_mem.frame_read vm.Vm.host.Host.mem ~ppn)
-          | None -> Buffer.add_bytes buf (Bytes.make Arch.page_size '\000')))
+      add_i64 gfn;
+      add_int kind;
+      if kind = 0 then begin
+        (match Vm.resolve_read vm gfn with
+        | Some ppn -> Phys_mem.frame_read_into vm.Vm.host.Host.mem ~ppn b ~pos:!pos
+        | None -> Bytes.fill b !pos Arch.page_size '\000');
+        pos := !pos + Arch.page_size
+      end)
     pages;
-  add_str buf (Vm.console_output vm);
-  Buffer.to_bytes buf
+  add_str console;
+  b
 
 let size_bytes = Bytes.length
 

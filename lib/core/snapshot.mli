@@ -12,7 +12,10 @@ type full = Bytes.t
 val capture : Vm.t -> full
 (** Serialize the VM (vCPU state, present pages, balloon/absent layout,
     console).  The VM should be quiesced (not running) for a consistent
-    image. *)
+    image.  The image is sized up front and built in one allocation,
+    each data page copied straight from host memory; swapped-out pages
+    are swapped back in, in guest-frame order, and a data page with no
+    backing frame is encoded as zeros. *)
 
 val restore : Hypervisor.t -> full -> Vm.t
 (** Materialize a VM from a full snapshot on the given hypervisor

@@ -1,4 +1,5 @@
 open Velum_devices
+module Bytes_eq = Velum_util.Bytes_eq
 module Fault = Velum_util.Fault
 module Fnv = Velum_util.Fnv
 module Rng = Velum_util.Rng
@@ -40,6 +41,10 @@ type t = {
   mutable head : int; (* append offset relative to the space start *)
   index : (int64, chunk) Hashtbl.t;
   streams : (string, manifest) Hashtbl.t; (* newest manifest per stream *)
+  images : (string, Bytes.t) Hashtbl.t;
+      (* a private copy of the image each stream last committed through
+         this handle; chunk i of it hashes to entry i of the stream's
+         manifest in [streams] *)
   mutable catalogs : manifest list list; (* newest-first, at most 2 *)
   mutable commits : int;
   mutable torn : int;
@@ -51,6 +56,7 @@ type t = {
 }
 
 let device t = t.blk
+let drop_images t = Hashtbl.reset t.images
 let set_faults t f = t.faults <- f
 let generation t = t.seq
 let commits t = t.commits
@@ -210,20 +216,9 @@ let set_refs t refs =
 
 (* --- commit planning --- *)
 
-let bytes_equal_at a apos b bpos len =
-  let ok = ref true in
-  (try
-     for i = 0 to len - 1 do
-       if Bytes.unsafe_get a (apos + i) <> Bytes.unsafe_get b (bpos + i) then begin
-         ok := false;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !ok
-
 type plan = {
   p_gen : int;
+  p_changed : int list; (* chunks that differ from the stream's last image *)
   p_new : (int * Bytes.t) list; (* absolute off, chunk record (reversed) *)
   p_new_meta : (int64 * int * int) list; (* hash, absolute off, payload len *)
   p_shared : int;
@@ -247,27 +242,42 @@ let plan_commit t ~id image =
   let pending = Hashtbl.create 16 in
   (* hash -> image pos of the first new chunk with that content *)
   let news = ref [] and news_meta = ref [] and shared = ref 0 in
+  let last_entries, last_image =
+    match (Hashtbl.find_opt t.streams id, Hashtbl.find_opt t.images id) with
+    | Some m, Some img -> (m.m_entries, img)
+    | _ -> ([||], Bytes.empty)
+  in
+  let changed = ref [] in
   let entries =
     Array.init (max 0 nchunks) (fun i ->
         let pos = i * chunk_payload in
         let plen = min chunk_payload (len - pos) in
-        let h = Fnv.hash_bytes ~pos ~len:plen image in
+        (* A chunk byte-equal to the same chunk of the stream's last image
+           keeps that generation's hash; only changed chunks are hashed. *)
+        let last = if i < Array.length last_entries then Some last_entries.(i) else None in
+        let h =
+          match last with
+          | Some (h, _, llen)
+            when llen = plen && Bytes_eq.equal last_image pos image pos plen ->
+              h
+          | _ ->
+              changed := i :: !changed;
+              Fnv.hash_bytes ~pos ~len:plen image
+        in
         let dedup =
           match Hashtbl.find_opt pending h with
-          | Some (ppos, off) when bytes_equal_at image ppos image pos plen ->
+          | Some (ppos, off) when Bytes_eq.equal image ppos image pos plen ->
               Some (off, plen)
           | _ -> (
               match Hashtbl.find_opt t.index h with
-              | Some c when c.c_len = plen ->
-                  (* Verify before sharing: content-hash equality is not
-                     content equality, and a rotted stored copy must not
-                     be re-referenced. *)
-                  let stored =
-                    Blockdev.pread t.blk ~off:(c.c_off + chunk_header) ~len:plen
-                  in
-                  if bytes_equal_at stored 0 image pos plen then
-                    Some (c.c_off, plen)
-                  else None
+              | Some c
+                when c.c_len = plen
+                     (* Verify before sharing: content-hash equality is
+                        not content equality, and a rotted stored copy
+                        must not be re-referenced. *)
+                     && Blockdev.equal_at t.blk ~off:(c.c_off + chunk_header)
+                          image ~pos ~len:plen ->
+                  Some (c.c_off, plen)
               | _ -> None)
         in
         match dedup with
@@ -316,6 +326,7 @@ let plan_commit t ~id image =
   let p_data_len = !cursor - t.head in
   {
     p_gen;
+    p_changed = !changed;
     p_new = List.rev !news;
     p_new_meta = List.rev !news_meta;
     p_shared = !shared;
@@ -551,6 +562,16 @@ let do_commit ?crash_at t ~id ~plan:p image =
         p.p_new_meta;
       set_refs t p.p_refs;
       Hashtbl.replace t.streams id p.p_manifest;
+      (* Retain the image for the stream's next compare: patch only the
+         changed chunks in place, or copy it whole when the length moved. *)
+      (match Hashtbl.find_opt t.images id with
+      | Some last when Bytes.length last = Bytes.length image ->
+          List.iter
+            (fun i ->
+              let pos = i * chunk_payload in
+              Bytes.blit image pos last pos (min chunk_payload (Bytes.length image - pos)))
+            p.p_changed
+      | _ -> Hashtbl.replace t.images id (Bytes.copy image));
       let prev = match t.catalogs with c :: _ -> [ c ] | [] -> [] in
       t.catalogs <- p.p_catalog :: prev;
       t.commits <- t.commits + 1;
@@ -762,6 +783,7 @@ let of_blk ?(faults = Fault.none ()) blk =
     head = 0;
     index = Hashtbl.create 64;
     streams = Hashtbl.create 4;
+    images = Hashtbl.create 4;
     catalogs = [];
     commits = 0;
     torn = 0;

@@ -69,6 +69,11 @@ val clone : t -> t
 val device : t -> Velum_devices.Blockdev.t
 (** The backing device (so a store can be remounted or copied). *)
 
+val drop_images : t -> unit
+(** Release the one image per stream this handle retains (see {!commit});
+    each stream's next commit then hashes every chunk, as after
+    {!mount}.  Device bytes and commit outcomes are unaffected. *)
+
 val set_faults : t -> Velum_util.Fault.t -> unit
 
 val sectors_for : image_bytes:int -> int
@@ -106,6 +111,18 @@ val commit : ?crash_at:int -> ?id:string -> t -> Bytes.t -> outcome
     If the active space is full, a GC compaction runs first; a power cut
     during it (site [store.gc]) reports the commit [Torn] with nothing
     of the new generation on the device.
+
+    Cost: the handle retains a private copy of the image each stream
+    last committed through it ({!mount}, {!clone} and {!drop_images}
+    start without one; a [Torn] commit leaves it as it was).  A chunk
+    byte-equal to the same chunk of that image takes its hash from the
+    stream's manifest, so only chunks changed since this handle's last
+    commit of the stream are hashed.  On top come one in-place compare
+    pass — every chunk against the retained image and every shared
+    chunk against its stored copy — and one whole-image checksum.  The
+    retained copy is patched in place on the next commit, or replaced
+    when the image length changes: one image's worth of memory per
+    stream.
 
     @raise Invalid_argument if the image cannot fit a space even after
     GC. *)

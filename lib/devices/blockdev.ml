@@ -93,6 +93,8 @@ let pread t ~off ~len =
     invalid_arg "Blockdev.pread: out of range";
   Bytes.sub t.store off len
 
+let equal_at t ~off b ~pos ~len = Velum_util.Bytes_eq.equal t.store off b pos len
+
 let capacity_bytes t = Bytes.length t.store
 
 let valid_range t =

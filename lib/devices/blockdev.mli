@@ -72,6 +72,12 @@ val pread : t -> off:int -> len:int -> Bytes.t
 
     @raise Invalid_argument if out of range. *)
 
+val equal_at : t -> off:int -> Bytes.t -> pos:int -> len:int -> bool
+(** [equal_at t ~off b ~pos ~len] — the [len] backing-store bytes at [off]
+    equal [b] from [pos], compared in place (no copy, unlike {!pread}).
+
+    @raise Invalid_argument if either range is out of bounds. *)
+
 val capacity_bytes : t -> int
 (** Backing-store size in bytes ([sectors * sector_bytes]). *)
 

@@ -105,6 +105,7 @@ let frame_fill t ~ppn c =
   notify_frame t ppn
 
 let frame_read t ~ppn = Bytes.sub t.data (frame_off t ppn) page
+let frame_read_into t ~ppn dst ~pos = Bytes.blit t.data (frame_off t ppn) dst pos page
 
 let frame_write t ~ppn b =
   if Bytes.length b <> page then invalid_arg "Phys_mem.frame_write: bad length";
@@ -113,15 +114,10 @@ let frame_write t ~ppn b =
 
 let frame_hash t ~ppn = Velum_util.Fnv.hash_bytes ~pos:(frame_off t ppn) ~len:page t.data
 
-let frame_is_zero t ~ppn =
-  let off = frame_off t ppn in
-  let rec go i = i >= page || (Bytes.get t.data (off + i) = '\000' && go (i + 1)) in
-  go 0
+let frame_is_zero t ~ppn = Velum_util.Bytes_eq.is_zero t.data (frame_off t ppn) page
 
 let frame_equal t a b =
-  let oa = frame_off t a and ob = frame_off t b in
-  let rec go i = i >= page || (Bytes.get t.data (oa + i) = Bytes.get t.data (ob + i) && go (i + 1)) in
-  go 0
+  Velum_util.Bytes_eq.equal t.data (frame_off t a) t.data (frame_off t b) page
 
 let blit_between ~src ~src_ppn ~dst ~dst_ppn =
   Bytes.blit src.data (frame_off src src_ppn) dst.data (frame_off dst dst_ppn) page;

@@ -39,6 +39,13 @@ val frame_fill : t -> ppn:int64 -> char -> unit
 val frame_read : t -> ppn:int64 -> Bytes.t
 (** [frame_read t ~ppn] is a fresh copy of the frame's 4096 bytes. *)
 
+val frame_read_into : t -> ppn:int64 -> Bytes.t -> pos:int -> unit
+(** [frame_read_into t ~ppn dst ~pos] copies the frame's 4096 bytes into
+    [dst] at [pos] — {!frame_read} without the fresh buffer.
+
+    @raise Invalid_argument if the frame or the destination range is out
+    of range. *)
+
 val frame_write : t -> ppn:int64 -> Bytes.t -> unit
 (** [frame_write t ~ppn b] overwrites the frame with [b] (must be exactly
     4096 bytes). *)
@@ -52,7 +59,7 @@ val frame_is_zero : t -> ppn:int64 -> bool
     detection for migration compression). *)
 
 val frame_equal : t -> int64 -> int64 -> bool
-(** [frame_equal t a b] compares two frames byte for byte. *)
+(** [frame_equal t a b] — the two frames hold the same bytes. *)
 
 val blit_between : src:t -> src_ppn:int64 -> dst:t -> dst_ppn:int64 -> unit
 (** [blit_between ~src ~src_ppn ~dst ~dst_ppn] copies a frame across two

@@ -1,9 +1,12 @@
 (* High availability: the durable snapshot store is crash-consistent at
-   every power-failure offset (qcheck sweep), a rejected snapshot restore
-   leaves no trace, failover is idempotent, the watchdog policies fire
-   exactly as specified, the HA supervisor restarts wedged VMs from the
-   last good checkpoint with zero manual recovery calls, and missed
-   heartbeats drive automatic generation-fenced failover. *)
+   every power-failure offset (qcheck sweep) and commits reusing the last
+   image's hashes match full-hash commits byte for byte, snapshot capture
+   matches the reference encoder and round-trips, a rejected snapshot
+   restore leaves no trace, failover is idempotent, the watchdog policies
+   fire exactly as specified, the HA supervisor restarts wedged VMs from
+   the last good checkpoint with zero manual recovery calls and retries a
+   torn checkpoint, and missed heartbeats drive automatic
+   generation-fenced failover. *)
 
 open Velum_isa
 open Velum_machine
@@ -263,6 +266,96 @@ let store_delta_oracle_prop =
           Bytes.equal a final && Bytes.equal b final && Bytes.equal a b
       | _ -> false)
 
+(* The compare-against-the-last-image commit path must decide exactly
+   what hashing every chunk decides.  One long-lived handle keeps each
+   stream's last image; the oracle handle, on its own device, drops them
+   before every commit and so hashes every chunk.  Both run the same
+   commit sequence — several streams derived from shared content,
+   chunk-level churn, length changes, GC, probabilistic torn commits and
+   rot from identically seeded plans, plus deterministic [crash_at]
+   cuts — and must agree on every outcome and on every device byte.
+   (A remount per commit is not a faithful oracle: a long-lived handle
+   also remembers chunks that only older generations reference, so the
+   two would legitimately share differently.)  While no rot has been
+   injected, every committed generation must also recover intact, which
+   re-hashes each chunk the manifest names: a reused hash must equal
+   [Fnv.hash_bytes] of its chunk. *)
+let oracle_chunk img pos len tag =
+  for j = 0 to len - 1 do
+    Bytes.unsafe_set img (pos + j) (Char.chr (((tag * 31) + (j * 7) + (j lsr 9)) land 0xff))
+  done
+
+let oracle_image (len, tags) =
+  let b = Bytes.create len in
+  Array.iteri
+    (fun i tag ->
+      let pos = i * 4096 in
+      if pos < len then oracle_chunk b pos (min 4096 (len - pos)) tag)
+    tags;
+  b
+
+let device_bytes store =
+  let d = Store.device store in
+  Blockdev.read_back d ~sector:0 ~count:(Blockdev.sectors d)
+
+let store_last_image_oracle_prop =
+  QCheck2.Test.make ~count:150
+    ~name:"last-image commits match full-hash commits byte for byte"
+    QCheck2.Gen.(
+      quad (int_range 2 4)
+        (list_size (int_range 8 60)
+           (quad nat
+              (list_size (int_range 0 4) (pair (int_range 0 8) (int_range 0 400)))
+              (opt ~ratio:0.2 (int_range (2 * 4096) ((8 * 4096) + 100)))
+              (opt ~ratio:0.15 nat)))
+        (pair (int_range 0 1000) (pair bool bool))
+        (int_range 0 40))
+    (fun (streams, steps, (seed, (torn, rot)), private_tag) ->
+      let plan () =
+        let f = Fault.create ~seed:(Int64.of_int seed) () in
+        if torn then Fault.set_prob f Fault.Store_torn 0.1;
+        if rot then Fault.set_prob f Fault.Store_csum 0.1;
+        f
+      in
+      let fa = plan () and fb = plan () in
+      (* small enough that the churn forces compactions *)
+      let sectors = Store.sectors_for ~image_bytes:(20 * 4096) in
+      let live = Store.create ~sectors ~faults:fa () in
+      let oracle = Store.create ~sectors ~faults:fb () in
+      (* every stream starts from the same content, one private chunk *)
+      let state =
+        Array.init streams (fun s ->
+            let tags = Array.init 9 (fun i -> i) in
+            tags.(s) <- private_tag + s;
+            ((5 * 4096) + 811, tags))
+      in
+      List.for_all
+        (fun (s, muts, resize, cut) ->
+          let s = s mod streams in
+          let len, tags = state.(s) in
+          let tags = Array.copy tags in
+          List.iter (fun (i, tag) -> tags.(i) <- tag) muts;
+          let len = Option.value resize ~default:len in
+          state.(s) <- (len, tags);
+          let img = oracle_image (len, tags) in
+          let id = Printf.sprintf "vm-%d" s in
+          let crash_at =
+            Option.map (fun c -> c mod Store.commit_bytes ~id live img) cut
+          in
+          Store.drop_images oracle;
+          let a = Store.commit ?crash_at ~id live img in
+          let b = Store.commit ?crash_at ~id oracle img in
+          a = b
+          && device_bytes live = device_bytes oracle
+          &&
+          match a with
+          | Store.Committed { gen; _ } when Fault.injected fa Fault.Store_csum = 0 -> (
+              match Store.recover ~id live with
+              | Some (got, g) -> g = gen && Bytes.equal got img
+              | None -> false)
+          | _ -> true)
+        steps)
+
 let test_store_gc_site () =
   let f = Fault.create ~seed:11L () in
   (* [now] for store sites is the successful-commit ordinal *)
@@ -354,6 +447,165 @@ let test_truncated_restore_rejected () =
   checki "frames reclaimed" used0
     (Frame_alloc.used_count (Hypervisor.host hyp).Host.alloc);
   checki "no half-built VM registered" 0 (List.length hyp.Hypervisor.vms)
+
+(* ---------------- snapshot: the encoder ---------------- *)
+
+(* The Buffer-based encoder [Snapshot.capture] used before it sized its
+   image exactly: the reference the one-allocation encoder must match
+   byte for byte, including the order in which it swaps pages in. *)
+let reference_capture (vm : Vm.t) =
+  let add_i64 buf v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    Buffer.add_bytes buf b
+  in
+  let add_int buf v = add_i64 buf (Int64.of_int v) in
+  let add_str buf s =
+    add_int buf (String.length s);
+    Buffer.add_string buf s
+  in
+  let buf = Buffer.create (Vm.mem_frames vm * Arch.page_size / 2) in
+  add_i64 buf 0x56454C4D534E5031L;
+  add_str buf vm.Vm.name;
+  add_int buf (Vm.mem_frames vm);
+  add_int buf (Array.length vm.Vm.vcpus);
+  add_int buf (match vm.Vm.paging with Vm.Shadow_paging -> 0 | Vm.Nested_paging -> 1);
+  add_int buf (if vm.Vm.pv.Vm.pv_console then 1 else 0);
+  add_int buf (if vm.Vm.pv.Vm.pv_pt then 1 else 0);
+  Array.iter
+    (fun (vcpu : Vcpu.t) ->
+      let s = vcpu.Vcpu.state in
+      Array.iter (add_i64 buf) s.Cpu.regs;
+      add_i64 buf s.Cpu.pc;
+      add_int buf (match s.Cpu.mode with Arch.User -> 0 | Arch.Supervisor -> 1);
+      Array.iter (add_i64 buf) s.Cpu.csrs;
+      add_int buf (if s.Cpu.halted then 1 else 0);
+      add_int buf (if s.Cpu.waiting then 1 else 0);
+      add_i64 buf s.Cpu.instret;
+      add_int buf
+        (match vcpu.Vcpu.runstate with
+        | Vcpu.Runnable | Vcpu.Running -> 0
+        | Vcpu.Blocked -> 1
+        | Vcpu.Halted -> 2))
+    vm.Vm.vcpus;
+  let pages = ref [] in
+  P2m.iter vm.Vm.p2m ~f:(fun ~gfn entry ->
+      match entry with
+      | P2m.Ballooned -> pages := (gfn, `Ballooned) :: !pages
+      | P2m.Absent -> pages := (gfn, `Absent) :: !pages
+      | P2m.Present _ | P2m.Swapped _ | P2m.Remote -> pages := (gfn, `Data) :: !pages);
+  let pages = List.rev !pages in
+  add_int buf (List.length pages);
+  List.iter
+    (fun (gfn, kind) ->
+      add_i64 buf gfn;
+      match kind with
+      | `Ballooned -> add_int buf 1
+      | `Absent -> add_int buf 2
+      | `Data -> (
+          add_int buf 0;
+          match Vm.resolve_read vm gfn with
+          | Some ppn -> Buffer.add_bytes buf (Phys_mem.frame_read vm.Vm.host.Host.mem ~ppn)
+          | None -> Buffer.add_bytes buf (Bytes.make Arch.page_size '\000')))
+    pages;
+  add_str buf (Vm.console_output vm);
+  Buffer.to_bytes buf
+
+(* A quiesced VM with every page state the encoder distinguishes: data
+   pages, ballooned, never-populated (absent), swapped out to the host,
+   and remote with no fetcher (encoded as a zero page); several vCPUs
+   with arbitrary architectural state; a console; any name length.  The
+   same spec always builds the same VM. *)
+let snapshot_vm_gen =
+  QCheck2.Gen.(
+    quad
+      (pair (string_size ~gen:printable (int_range 0 13)) (int_range 1 3))
+      (list_size (int_range 1 12) (int_range 0 4))
+      (pair (string_size ~gen:char (int_range 0 40)) (triple bool bool bool))
+      (int_range 0 1_000_000))
+
+let build_snapshot_vm (name, vcpu_count) kinds (console, (shadow, pv_console, pv_pt)) seed =
+  let hyp = make_hyp ~frames:512 () in
+  let host = Hypervisor.host hyp in
+  let mem_frames = List.length kinds in
+  let vm =
+    Hypervisor.create_vm hyp ~name ~mem_frames ~vcpu_count
+      ~paging:(if shadow then Vm.Shadow_paging else Vm.Nested_paging)
+      ~pv:{ Vm.pv_console; pv_pt } ~entry:0L ()
+  in
+  let rng = Velum_util.Rng.create ~seed:(Int64.of_int seed) in
+  Array.iter
+    (fun (vcpu : Vcpu.t) ->
+      let s = vcpu.Vcpu.state in
+      for i = 1 to Array.length s.Cpu.regs - 1 do
+        s.Cpu.regs.(i) <- Velum_util.Rng.next rng
+      done;
+      Array.iteri (fun i _ -> s.Cpu.csrs.(i) <- Velum_util.Rng.next rng) s.Cpu.csrs;
+      s.Cpu.pc <- Velum_util.Rng.next rng;
+      s.Cpu.mode <- (if Velum_util.Rng.bool rng then Arch.User else Arch.Supervisor);
+      s.Cpu.waiting <- Velum_util.Rng.bool rng;
+      s.Cpu.instret <- Velum_util.Rng.next rng;
+      vcpu.Vcpu.runstate <-
+        (match Velum_util.Rng.int rng 3 with
+        | 0 -> Vcpu.Runnable
+        | 1 -> Vcpu.Blocked
+        | _ -> Vcpu.Halted))
+    vm.Vm.vcpus;
+  let release gfn =
+    match P2m.get vm.Vm.p2m gfn with
+    | P2m.Present { hpa_ppn; _ } -> ignore (Frame_alloc.decr_ref host.Host.alloc hpa_ppn)
+    | _ -> ()
+  in
+  List.iteri
+    (fun i kind ->
+      let gfn = Int64.of_int i in
+      let page = Bytes.init Arch.page_size (fun j -> Char.chr ((seed + (i * 131) + j) land 0xff)) in
+      ignore (Vm.write_gpa_bytes vm (Int64.mul gfn (Int64.of_int Arch.page_size)) page);
+      match kind with
+      | 1 -> ignore (Vm.balloon_out vm gfn)
+      | 2 ->
+          release gfn;
+          P2m.set vm.Vm.p2m gfn P2m.Absent
+      | 3 -> (
+          match P2m.get vm.Vm.p2m gfn with
+          | P2m.Present { hpa_ppn; _ } ->
+              let slot = Host.swap_out host ~ppn:hpa_ppn in
+              release gfn;
+              P2m.set vm.Vm.p2m gfn (P2m.Swapped { slot })
+          | _ -> ())
+      | 4 ->
+          release gfn;
+          P2m.set vm.Vm.p2m gfn P2m.Remote
+      | _ -> ())
+    kinds;
+  String.iter (Vm.console_put vm) console;
+  vm
+
+let p2m_layout (vm : Vm.t) =
+  let l = ref [] in
+  P2m.iter vm.Vm.p2m ~f:(fun ~gfn e -> l := (gfn, e) :: !l);
+  !l
+
+let capture_matches_reference_prop =
+  QCheck2.Test.make ~count:200 ~name:"capture is byte-identical to the reference encoder"
+    snapshot_vm_gen
+    (fun (id, kinds, extra, seed) ->
+      let ref_vm = build_snapshot_vm id kinds extra seed in
+      let vm = build_snapshot_vm id kinds extra seed in
+      let expected = reference_capture ref_vm in
+      let got = Snapshot.capture vm in
+      (* same bytes, and the swapped pages came back into the same frames *)
+      Bytes.equal expected got && p2m_layout ref_vm = p2m_layout vm)
+
+let capture_restore_roundtrip_prop =
+  QCheck2.Test.make ~count:100 ~name:"restore (capture vm) round-trips"
+    snapshot_vm_gen
+    (fun (id, kinds, extra, seed) ->
+      let vm = build_snapshot_vm id kinds extra seed in
+      let image = Snapshot.capture vm in
+      let hyp = make_hyp ~frames:512 () in
+      let vm' = Snapshot.restore hyp image in
+      Bytes.equal image (Snapshot.capture vm'))
 
 (* ---------------- replication: idempotent failover ---------------- *)
 
@@ -537,6 +789,52 @@ let test_ha_adversarial_end_to_end () =
     (s.Ha.torn_checkpoints >= 1 || Fault.injected f Fault.Store_csum >= 1);
   check64 "lockstep with the fault-free run" base (vm_instret (Ha.vm sup))
 
+(* A torn checkpoint must be retried on the next tick even when the
+   guest did nothing in between.  A register-only guest shares the pCPU
+   with a hog: a cadence shorter than the scheduler slice gives ticks in
+   which it retires nothing and dirties nothing, yet stays runnable.  The
+   plan tears commit ordinal 1 (the first cadence commit after the
+   baseline); with the plan cleared, the very next such idle tick must
+   commit, so the store holds the state the VM actually has. *)
+let test_ha_torn_checkpoint_retried_when_idle () =
+  let hyp = make_hyp () in
+  let _hog = unikernel hyp "hog" spin_forever in
+  let vm = unikernel hyp "work" [ label "spin"; addi r2 r2 1L; jmp "spin" ] in
+  let f = Fault.create ~seed:1L () in
+  Fault.add_window f Fault.Store_torn ~lo:1L ~hi:1L;
+  let store =
+    store_for ~faults:f ~image_bytes:(Snapshot.size_bytes (Snapshot.capture vm)) ()
+  in
+  let sup =
+    Ha.create ~hyp ~store ~vm ~checkpoint_every:30_000L ~wd_budget:10_000_000L ()
+  in
+  let tick () =
+    let before = vm_instret (Ha.vm sup) in
+    ignore (Ha.run sup ~budget:30_000L);
+    Int64.equal before (vm_instret (Ha.vm sup))
+  in
+  let rec until_torn n =
+    if n = 0 then Alcotest.fail "the window never tore a commit";
+    ignore (tick ());
+    if (Ha.stats sup).Ha.torn_checkpoints = 0 then until_torn (n - 1)
+  in
+  until_torn 10;
+  checki "baseline only" 1 (Ha.stats sup).Ha.checkpoints;
+  Store.set_faults store (Fault.none ());
+  let rec until_idle n =
+    if n = 0 then Alcotest.fail "the guest was never idle for a whole tick";
+    if not (tick ()) then until_idle (n - 1)
+  in
+  until_idle 10;
+  let s = Ha.stats sup in
+  checki "the idle tick retried and committed" 2 s.Ha.checkpoints;
+  checki "one torn commit" 1 s.Ha.torn_checkpoints;
+  match Store.recover store with
+  | Some (image, 2) ->
+      checkb "the store holds the VM's current state" true
+        (Bytes.equal image (Snapshot.capture (Ha.vm sup)))
+  | _ -> Alcotest.fail "generation 2 must recover"
+
 (* ---------------- heartbeat failover ---------------- *)
 
 let failover_setup () =
@@ -640,12 +938,16 @@ let () =
         :: qsuite
              [
                store_crash_sweep_prop; store_gc_live_prop;
-               store_delta_oracle_prop;
+               store_delta_oracle_prop; store_last_image_oracle_prop;
              ] );
       ( "snapshot",
         Alcotest.test_case "truncated image rejected without trace" `Quick
           test_truncated_restore_rejected
-        :: qsuite [ restore_no_leak_prop ] );
+        :: qsuite
+             [
+               restore_no_leak_prop; capture_matches_reference_prop;
+               capture_restore_roundtrip_prop;
+             ] );
       ( "replication",
         [ Alcotest.test_case "failover is idempotent" `Quick test_failover_idempotent ] );
       ( "watchdog",
@@ -664,6 +966,8 @@ let () =
             test_ha_crash_loop_degrades;
           Alcotest.test_case "adversarial plan, zero manual recovery" `Quick
             test_ha_adversarial_end_to_end;
+          Alcotest.test_case "torn checkpoint retried on an idle tick" `Quick
+            test_ha_torn_checkpoint_retried_when_idle;
         ] );
       ( "failover",
         Alcotest.test_case "healthy run never fails over" `Quick

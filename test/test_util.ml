@@ -1,5 +1,5 @@
 (* Unit tests for velum_util: RNG, statistics, bit operations, ring
-   buffers, FNV hashing and table formatting. *)
+   buffers, FNV hashing, byte-range equality and table formatting. *)
 
 open Velum_util
 
@@ -362,6 +362,59 @@ let fnv_prop_string_bytes_agree =
   QCheck2.Test.make ~name:"hash_string = hash_bytes" QCheck2.Gen.string (fun s ->
       Fnv.hash_string s = Fnv.hash_bytes (Bytes.of_string s))
 
+(* ---------------- Bytes_eq ---------------- *)
+
+let slice_equal a apos b bpos len = Bytes.equal (Bytes.sub a apos len) (Bytes.sub b bpos len)
+
+let test_bytes_eq_edges () =
+  let a = Bytes.of_string "0123456789abcdefXYZ" in
+  (* 19 bytes: two words plus a 3-byte tail *)
+  let b = Bytes.copy a in
+  checkb "equal, length not a multiple of 8" true (Bytes_eq.equal a 0 b 0 19);
+  Bytes.set b 18 'z';
+  checkb "difference only in the last byte" false (Bytes_eq.equal a 0 b 0 19);
+  checkb "the prefix before it still equal" true (Bytes_eq.equal a 0 b 0 18);
+  Bytes.set b 18 'Z';
+  Bytes.set b 7 '!';
+  checkb "difference in the last byte of a word" false (Bytes_eq.equal a 0 b 0 19);
+  checkb "unaligned ranges" true (Bytes_eq.equal a 9 b 9 10);
+  checkb "zero length" true (Bytes_eq.equal a 19 Bytes.empty 0 0);
+  let z = Bytes.make 21 '\000' in
+  checkb "all zero" true (Bytes_eq.is_zero z 0 21);
+  Bytes.set z 20 '\001';
+  checkb "non-zero last byte" false (Bytes_eq.is_zero z 0 21);
+  checkb "zero-length range is zero" true (Bytes_eq.is_zero z 21 0);
+  let oob f = Alcotest.check_raises "out of range" (Invalid_argument f) in
+  let eq_msg = "Bytes_eq.equal: range out of bounds" in
+  let zero_msg = "Bytes_eq.is_zero: range out of bounds" in
+  oob eq_msg (fun () -> ignore (Bytes_eq.equal a 12 b 0 8));
+  oob eq_msg (fun () -> ignore (Bytes_eq.equal a 0 b 12 8));
+  oob eq_msg (fun () -> ignore (Bytes_eq.equal a (-1) b 0 1));
+  oob eq_msg (fun () -> ignore (Bytes_eq.equal a 0 b 0 (-1)));
+  oob zero_msg (fun () -> ignore (Bytes_eq.is_zero z 20 2));
+  oob zero_msg (fun () -> ignore (Bytes_eq.is_zero z (-1) 1))
+
+(* Against the obvious model: random equal-ish buffers (one byte of [b]
+   possibly flipped) and random in-range windows. *)
+let bytes_eq_prop_model =
+  QCheck2.Test.make ~count:500 ~name:"equal / is_zero agree with Bytes.sub + Bytes.equal"
+    QCheck2.Gen.(
+      quad (string_size ~gen:(oneofl [ '\000'; 'a'; 'b' ]) (int_range 0 80)) nat nat
+        (opt nat))
+    (fun (s, p1, p2, flip) ->
+      let a = Bytes.of_string s in
+      let n = Bytes.length a in
+      let b = Bytes.copy a in
+      (match flip with
+      | Some i when n > 0 -> Bytes.set b (i mod n) 'c'
+      | _ -> ());
+      let apos = if n = 0 then 0 else p1 mod (n + 1) in
+      let bpos = if n = 0 then 0 else p2 mod (n + 1) in
+      let len = n - max apos bpos in
+      Bytes_eq.equal a apos b bpos len = slice_equal a apos b bpos len
+      && Bytes_eq.is_zero a apos len
+         = Bytes.equal (Bytes.sub a apos len) (Bytes.make len '\000'))
+
 (* ---------------- Tablefmt ---------------- *)
 
 let test_tablefmt_render () =
@@ -440,6 +493,9 @@ let () =
           Alcotest.test_case "combine order" `Quick test_fnv_combine_order;
         ]
         @ qsuite [ fnv_prop_string_bytes_agree ] );
+      ( "bytes_eq",
+        [ Alcotest.test_case "edges and bounds" `Quick test_bytes_eq_edges ]
+        @ qsuite [ bytes_eq_prop_model ] );
       ( "tablefmt",
         [
           Alcotest.test_case "render" `Quick test_tablefmt_render;
